@@ -1,10 +1,11 @@
-"""Experiment harness: workloads, the runner, sweeps and report printing.
+"""Experiment harness: workloads, the runner, healer comparisons and report printing.
 
 This is the layer the ``benchmarks/`` directory and the examples are built
 on.  A benchmark is: pick a workload (initial topology), an adversary, one or
 more healers, run them through :func:`run_experiment` for a number of
-timesteps, and print the resulting table with
-:mod:`repro.harness.reporting`.
+timesteps (several healers share one trace via :func:`compare_healers`), and
+print the resulting table with :mod:`repro.harness.reporting`.  Parameter
+sweeps live in :mod:`repro.scenarios`.
 """
 
 from repro.harness.workloads import (
@@ -24,7 +25,7 @@ from repro.harness.experiment import (
     run_experiment,
     run_healer_on_trace,
 )
-from repro.harness.sweeps import SweepResult, compare_healers, sweep_healers, sweep_parameter
+from repro.harness.sweeps import compare_healers
 from repro.harness.reporting import format_table, print_comparison, print_table
 
 __all__ = [
@@ -41,10 +42,7 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "run_healer_on_trace",
-    "SweepResult",
     "compare_healers",
-    "sweep_healers",
-    "sweep_parameter",
     "format_table",
     "print_comparison",
     "print_table",

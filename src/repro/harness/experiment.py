@@ -3,13 +3,15 @@
 The runner implements the model loop of Figure 1: at every timestep the
 adversary produces an insertion or a deletion, the ghost graph records it,
 the healer reacts, and the trackers/ledgers accumulate the Theorem 2 and
-Theorem 5 quantities.  The same adversarial *trace* can be replayed against
-several healers (``run_healer_on_trace``) so comparisons are apples-to-apples.
+Theorem 5 quantities.  :func:`run_experiment` holds the only copy of that
+loop.  Replays go through it too: :func:`run_healer_on_trace` turns a
+recorded adversarial *trace* into one more event source, so several healers
+face exactly the same moves and comparisons are apples-to-apples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import networkx as nx
@@ -115,7 +117,8 @@ class ExperimentResult:
     healer_extra: dict[str, object] = field(default_factory=dict)
     #: Parallel to ``trace``: the 1-based timestep each event belonged to.
     #: Batched adversaries put several events in one timestep; the churn-trace
-    #: exporter uses this to preserve the grouping.  Empty for flat replays.
+    #: exporter uses this to preserve the grouping.  A trace replay applies
+    #: one event per timestep, so its steps simply count 1, 2, 3, ...
     event_steps: list[int] = field(default_factory=list)
 
     @property
@@ -395,6 +398,34 @@ def run_experiment(
     )
 
 
+class _TraceAdversary(Adversary):
+    """Feed a recorded trace to :func:`run_experiment`, one applicable event per step.
+
+    Replays skip defensively rather than validate: a trace recorded against
+    one healer may name nodes another healer's graph no longer has (adaptive
+    adversaries react to topology).  Deletions of absent nodes and
+    insertions of present nodes are skipped, insertion anchors that are gone
+    are dropped, and an insertion left with no anchor is skipped without
+    being counted as executed.
+    """
+
+    def __init__(self, trace: Sequence[AdversaryEvent], name: str):
+        super().__init__()
+        self.name = name
+        self._events = iter(trace)
+
+    def next_events(self, graph, timestep: int) -> tuple[AdversaryEvent, ...] | None:
+        for event in self._events:
+            if event.is_deletion:
+                if event.node in graph:
+                    return (event,)
+            elif event.node not in graph:
+                neighbors = tuple(node for node in event.neighbors if node in graph)
+                if neighbors:
+                    return (replace(event, neighbors=neighbors),)
+        return None
+
+
 def run_healer_on_trace(
     healer: SelfHealer,
     initial_graph: nx.Graph,
@@ -411,9 +442,12 @@ def run_healer_on_trace(
 
     The trace is typically taken from a previous :func:`run_experiment` result
     so that several healers face exactly the same insertions and deletions.
-    Events naming nodes absent from the healer's graph are skipped defensively
-    (can only happen when a prior healer lost connectivity and the trace was
-    generated adaptively).
+    The replay runs through :func:`run_experiment` itself, with the trace as
+    its event source: events naming nodes absent from the healer's graph are
+    skipped defensively (can only happen when a prior healer lost
+    connectivity and the trace was generated adaptively), and the result's
+    ``trace`` / ``event_steps`` list the events actually applied, one per
+    timestep.  Replays record no timeline and no intermediate verdicts.
 
     ``seed`` seeds the metrics engine's sampled estimators — pass the original
     run's ``config.seed`` to make a replay reproduce its measurements exactly.
@@ -421,100 +455,22 @@ def run_healer_on_trace(
     the original adversary name so the replayed row matches byte for byte).
     ``ghost_engine`` optionally shares the full-ghost metric cache across
     healers replaying the same trace (see
-    :func:`repro.harness.sweeps.compare_healers`).  ``snapshot_every``
-    mirrors :attr:`ExperimentConfig.snapshot_every` so replays of
-    snapshot-skipping runs reproduce their rows exactly.
+    :func:`repro.harness.sweeps.compare_healers`).  ``snapshot_every=0``
+    skips the final snapshot trio, as in :attr:`ExperimentConfig.snapshot_every`,
+    so replays of snapshot-skipping runs reproduce their rows exactly; any
+    other value keeps the final trio.
     """
-    healer.initialize(initial_graph)
-    ghost = GhostGraph(initial_graph)
-    ledger = CostLedger(kappa=kappa)
-    degree_tracker = DegreeRatioTracker(kappa=kappa)
-    engine = MetricsEngine(
-        exact_limit=exact_expansion_limit,
+    config = ExperimentConfig(
+        healer_factory=lambda: healer,
+        adversary_factory=lambda: _TraceAdversary(trace, adversary_name),
+        initial_graph=initial_graph,
+        timesteps=max(1, len(trace)),
+        metric_every=0,
+        kappa=kappa,
+        check_invariants_every=0,
+        exact_expansion_limit=exact_expansion_limit,
         stretch_sample_pairs=stretch_sample_pairs,
         seed=seed,
+        snapshot_every=0 if snapshot_every == 0 else None,
     )
-    timeline = MetricTimeline(
-        exact_limit=exact_expansion_limit,
-        stretch_sample_pairs=stretch_sample_pairs,
-        engine=engine,
-    )
-    insertions = 0
-    deletions = 0
-    executed = 0
-
-    live = _live_view(healer)
-    fast_tracker = live is not healer.graph
-    if fast_tracker:
-        degree_tracker.attach_store(live, ghost)
-
-    for event in trace:
-        if event.is_deletion and event.node not in live:
-            continue
-        if event.is_insertion and event.node in live:
-            continue
-        if event.is_insertion:
-            neighbors = tuple(node for node in event.neighbors if node in live)
-            if not neighbors:
-                # All anchors are gone: the event cannot be applied, so it
-                # must not count as executed either (it would inflate the
-                # summary row's step counters relative to the work done).
-                continue
-            executed += 1
-            insertions += 1
-            ghost.record_insertion(event.node, neighbors)
-            healer.handle_insertion(event.node, neighbors)
-            if fast_tracker:
-                degree_tracker.record_insertion(event.node, neighbors)
-        else:
-            executed += 1
-            deletions += 1
-            black_degree = ghost.degree(event.node)
-            ghost.record_deletion(event.node)
-            report = healer.handle_deletion(event.node)
-            ledger.record_deletion(
-                deleted=event.node,
-                black_degree=black_degree,
-                messages=report.messages if report.messages else report.total_edge_changes,
-                rounds=report.rounds,
-                network_size=live.number_of_nodes(),
-            )
-        if fast_tracker:
-            degree_tracker.observe_store()
-        else:
-            degree_tracker.observe(healer.graph, ghost)
-
-    if snapshot_every == 0:
-        final_metrics = ghost_metrics = None
-        final_verdict = None
-    else:
-        ghost_alive = ghost.alive_subgraph()
-        final_metrics = engine.snapshot(
-            healer.graph,
-            ghost=ghost_alive,
-            version=healer.graph_version,
-            ghost_version=ghost.version,
-            label="healed",
-        )
-        ghost_metrics = _ghost_full_snapshot(engine, ghost, ghost_engine)
-        final_verdict = engine.check_theorem2(
-            healer.graph, ghost, kappa=kappa, healed_version=healer.graph_version
-        )
-    return ExperimentResult(
-        healer_name=healer.name,
-        adversary_name=adversary_name,
-        timesteps_executed=executed,
-        insertions=insertions,
-        deletions=deletions,
-        final_graph=healer.graph.copy(),
-        ghost=ghost,
-        final_metrics=final_metrics,
-        ghost_metrics=ghost_metrics,
-        final_verdict=final_verdict,
-        timeline=timeline,
-        cost_summary=ledger.summary(),
-        worst_degree_ratio=degree_tracker.max_ratio_seen,
-        trace=list(trace),
-        cache_stats=engine.cache_stats(),
-        healer_extra=healer.extra_summary(),
-    )
+    return run_experiment(config, ghost_engine=ghost_engine)

@@ -1,20 +1,16 @@
-"""Parameter sweeps built on top of the experiment runner.
+"""Healer comparisons over one shared adversarial trace.
 
-For declarative, serializable, parallelizable sweeps prefer
-:class:`repro.scenarios.sweep.SweepSpec` +
-:func:`repro.scenarios.runner.run_scenarios` — the functions here remain as
-the thin imperative layer they compile down to, plus
-:func:`compare_healers`, the shared-trace/shared-ghost-metrics comparison
-harness.
+Parameter sweeps are declarative: a :class:`repro.scenarios.sweep.SweepSpec`
+expanded and executed by :func:`repro.scenarios.runner.run_scenarios`.  This
+module holds :func:`compare_healers`, the shared-trace/shared-ghost-metrics
+comparison harness, and :func:`healer_factory`, its registry shorthand.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
-from repro.adversary.base import Adversary
 from repro.core.healer import SelfHealer
 from repro.harness.experiment import (
     ExperimentConfig,
@@ -23,107 +19,6 @@ from repro.harness.experiment import (
     run_healer_on_trace,
 )
 from repro.perf.engine import MetricsEngine
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """One point of a parameter sweep.
-
-    ``wall_clock_s`` mirrors the scenario layer's per-point cost column: the
-    measured execution time of this point, surfaced in :meth:`row` so
-    imperative sweeps can also be cost-profiled.
-    """
-
-    label: str
-    parameter: object
-    result: ExperimentResult
-    wall_clock_s: float | None = None
-
-    def row(self) -> dict[str, object]:
-        """Return the experiment's summary row augmented with the sweep parameter."""
-        row = {"sweep": self.label, "parameter": self.parameter}
-        row.update(self.result.summary_row())
-        if self.wall_clock_s is not None:
-            row["wall_clock_s"] = self.wall_clock_s
-        return row
-
-
-def sweep_parameter(
-    base_config: ExperimentConfig,
-    label: str,
-    values: Sequence[object],
-    configure: Callable[[ExperimentConfig, object], ExperimentConfig],
-    on_result: Callable[[SweepResult], None] | None = None,
-    collect: bool = True,
-) -> list[SweepResult]:
-    """Run the experiment once per parameter value.
-
-    ``configure(config, value)`` returns the config to use for that value
-    (typically built with :func:`dataclasses.replace`).
-
-    ``on_result`` fires after each point completes — the streaming hook for
-    long sweeps (persist the row, drop the graphs).  With ``collect=False``
-    nothing is buffered and the returned list is empty; an
-    :class:`~repro.harness.experiment.ExperimentResult` holds whole graphs,
-    so buffering thousands of them is exactly what the scenario layer's
-    ``stream_to`` mode exists to avoid.
-    """
-    results: list[SweepResult] = []
-    for value in values:
-        config = configure(base_config, value)
-        start = time.perf_counter()
-        result = run_experiment(config)
-        point = SweepResult(
-            label=label,
-            parameter=value,
-            result=result,
-            wall_clock_s=time.perf_counter() - start,
-        )
-        if on_result is not None:
-            on_result(point)
-        if collect:
-            results.append(point)
-    return results
-
-
-def sweep_healers(
-    base_config: ExperimentConfig,
-    healers: Mapping[str, Callable[[], SelfHealer]],
-    adversary_factory: Callable[[], Adversary] | None = None,
-    on_result: Callable[[SweepResult], None] | None = None,
-    collect: bool = True,
-) -> list[SweepResult]:
-    """Run the same experiment once per healer (each against a fresh adversary).
-
-    Adversaries are deterministic given their seed, so every healer faces the
-    same strategy; healers that change the topology differently may still see
-    different adaptive choices, which is the model's intent (the adversary is
-    omniscient about topology).  For strictly identical traces use
-    :func:`repro.harness.experiment.run_healer_on_trace`.
-
-    ``on_result``/``collect`` stream points as they finish, as in
-    :func:`sweep_parameter`.
-    """
-    results: list[SweepResult] = []
-    for name, factory in healers.items():
-        config = replace(
-            base_config,
-            healer_factory=factory,
-            adversary_factory=adversary_factory or base_config.adversary_factory,
-        )
-        start = time.perf_counter()
-        result = run_experiment(config)
-        point = SweepResult(
-            label="healer",
-            parameter=name,
-            result=result,
-            wall_clock_s=time.perf_counter() - start,
-        )
-        if on_result is not None:
-            on_result(point)
-        if collect:
-            results.append(point)
-    return results
 
 
 def healer_factory(name: str, **kwargs) -> Callable[[], SelfHealer]:
@@ -146,7 +41,8 @@ def compare_healers(
     """Replay one adversarial trace against several healers, apples-to-apples.
 
     The first healer runs live against ``base_config``'s adversary; every
-    other healer replays the exact trace it produced (the standard
+    other healer replays the exact trace it produced through the same
+    :func:`~repro.harness.experiment.run_experiment` loop (the standard
     comparison pattern of the examples and benchmarks).
 
     All runs share one full-ghost metrics cache: the ghost graph ``G'_t`` is

@@ -12,10 +12,11 @@ The spec says *how* the run was produced; the event lines say *what* the
 adversary did.  Replay therefore does not need the adversary at all: it
 rebuilds the healer and the initial topology from the spec and pushes the
 recorded trace through
-:func:`~repro.harness.experiment.run_healer_on_trace`, which reproduces the
-original ``summary_row()`` exactly (same metric fidelity, same engine seed;
-on the dense spectral path, n <= sparse_threshold, the computation is
-bitwise deterministic).
+:func:`~repro.harness.experiment.run_healer_on_trace`, which feeds it to the
+same :func:`~repro.harness.experiment.run_experiment` loop that produced the
+run and so reproduces the original ``summary_row()`` exactly (same metric
+fidelity, same engine seed; on the dense spectral path, n <=
+sparse_threshold, the computation is bitwise deterministic).
 
 Artifacts may be gzip-compressed (``.jsonl.gz``) for million-point sweep
 directories.  Compression is an encoding of the same bytes, never a
@@ -214,8 +215,9 @@ def replay_artifact(path: str | Path) -> ReplayReport:
 
     The healer and initial topology are rebuilt from the artifact's spec
     (same derived seeds), and the recorded adversarial trace is replayed
-    through :func:`run_healer_on_trace` with the spec's metric fidelity and
-    engine seed — the exact inputs of the original run.
+    through :func:`run_healer_on_trace` — that is, through the
+    :func:`~repro.harness.experiment.run_experiment` loop — with the spec's
+    metric fidelity and engine seed: the exact inputs of the original run.
     """
     record = load_run(path)
     spec = record.spec.validate()

@@ -299,10 +299,12 @@ class ScenarioSpec:
 
         Loads the spec and adversarial trace from the JSONL artifact at
         ``path``, rebuilds the healer and initial topology, replays the trace
-        through :func:`~repro.harness.experiment.run_healer_on_trace` and
-        returns a :class:`~repro.scenarios.artifacts.ReplayReport` whose
-        ``identical`` flag compares the replayed ``summary_row()`` against
-        the recorded one.
+        through :func:`~repro.harness.experiment.run_healer_on_trace` (the
+        trace becomes the event source of the same
+        :func:`~repro.harness.experiment.run_experiment` loop a live run
+        uses) and returns a :class:`~repro.scenarios.artifacts.ReplayReport`
+        whose ``identical`` flag compares the replayed ``summary_row()``
+        against the recorded one.
         """
         from repro.scenarios.artifacts import replay_artifact
 

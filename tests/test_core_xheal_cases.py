@@ -106,26 +106,20 @@ def test_case21_black_neighbors_become_singleton_clouds():
     )
 
 
-def test_case22_bridge_deletion_repairs_secondary():
-    healer = make(nx.star_graph(10), seed=3)
-    healer.handle_deletion(0)
-    # Delete primary-cloud members until a bridge node (secondary member) exists.
-    deleted_bridge = None
-    for _ in range(4):
-        secondaries = healer.registry.clouds(CloudKind.SECONDARY)
-        if secondaries:
-            deleted_bridge = sorted(secondaries[0].members)[0]
-            break
-        member = sorted(healer.registry.clouds(CloudKind.PRIMARY)[0].members)[0]
-        healer.handle_deletion(member)
-    if deleted_bridge is None:
-        pytest.skip("no secondary cloud formed for this seed")
-    report = healer.handle_deletion(deleted_bridge)
-    assert report.action in (
-        RepairAction.CASE_2_2_FIX_SECONDARY,
-        RepairAction.CASE_2_2_MERGE,
-        RepairAction.CASE_2_1_MERGE,
-    )
+@pytest.mark.parametrize("seed", range(5))
+def test_case22_bridge_deletion_repairs_secondary(seed):
+    # Leaf 1 of the star also sits in a triangle with 20 and 21, so after the
+    # centre goes (Case 1) node 1 has cloud edges *and* black edges.  Deleting
+    # it is Case 2.1 and builds a secondary cloud; deleting a member of that
+    # secondary cloud (a bridge node) must take the Case 2.2 repair.
+    graph = nx.star_graph(10)
+    graph.add_edges_from([(1, 20), (1, 21), (20, 21)])
+    healer = make(graph, seed=seed)
+    assert healer.handle_deletion(0).action is RepairAction.CASE_1_NEW_PRIMARY
+    assert healer.handle_deletion(1).action is RepairAction.CASE_2_1_SECONDARY
+    (secondary,) = healer.registry.clouds(CloudKind.SECONDARY)
+    report = healer.handle_deletion(sorted(secondary.members)[0])
+    assert report.action is RepairAction.CASE_2_2_FIX_SECONDARY
     assert nx.is_connected(healer.graph)
     healer.check_invariants()
 

@@ -1,4 +1,4 @@
-"""Tests for the experiment runner and sweeps."""
+"""Tests for the experiment runner, trace replays and report printing."""
 
 from dataclasses import replace
 
@@ -10,7 +10,6 @@ from repro.baselines import ForgivingTreeHeal, NoHeal
 from repro.core.xheal import Xheal
 from repro.harness.experiment import ExperimentConfig, run_experiment, run_healer_on_trace
 from repro.harness.reporting import format_series, format_table, print_comparison, print_table
-from repro.harness.sweeps import sweep_healers, sweep_parameter
 from repro.harness.workloads import random_regular_workload
 from repro.util.validation import ValidationError
 
@@ -93,32 +92,6 @@ def test_trace_skips_impossible_events():
     trace = [AdversaryEvent(EventType.DELETE, 0), AdversaryEvent(EventType.DELETE, 0)]
     result = run_healer_on_trace(NoHeal(), random_regular_workload(10, 4, seed=1), trace)
     assert result.deletions == 1
-
-
-def test_sweep_parameter_over_kappa():
-    sweep = sweep_parameter(
-        base_config(timesteps=5),
-        label="kappa",
-        values=[2, 4],
-        configure=lambda config, kappa: replace(
-            config, healer_factory=lambda: Xheal(kappa=kappa, seed=1), kappa=kappa
-        ),
-    )
-    assert len(sweep) == 2
-    assert sweep[0].row()["parameter"] == 2
-    assert all(point.result.connected for point in sweep)
-
-
-def test_sweep_healers_compares_algorithms():
-    sweep = sweep_healers(
-        base_config(timesteps=6),
-        healers={
-            "xheal": lambda: Xheal(kappa=4, seed=1),
-            "no-heal": lambda: NoHeal(),
-        },
-    )
-    names = {point.result.healer_name for point in sweep}
-    assert names == {"xheal", "no-heal"}
 
 
 def test_reporting_table_and_series_rendering(capsys):

@@ -6,7 +6,10 @@
 the current struct-of-arrays core must reproduce every row byte for byte —
 node iteration order, metric floats, verdicts, everything.
 
-A second layer cross-checks the *internal* fast paths against their reference
+Each golden run is also saved as an artifact and replayed: the replay goes
+through the same event loop as the live run, so it must reproduce the row too.
+
+A further layer cross-checks the *internal* fast paths against their reference
 implementations on live runs: the incremental degree-ratio tracker vs the
 full per-node scan, and the materialized ``nx.Graph`` vs the store.
 """
@@ -22,6 +25,8 @@ from repro.analysis.trackers import DegreeRatioTracker
 from repro.core.ghost import GhostGraph
 from repro.core.xheal import Xheal
 from repro.harness.experiment import run_experiment
+from repro.scenarios.artifacts import replay_artifact, save_run
+from repro.scenarios.runner import RunRecord
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.registry import ADVERSARIES
 
@@ -32,16 +37,29 @@ def _golden_entries():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize(
-    "entry",
-    _golden_entries(),
-    ids=lambda entry: f"{entry['spec']['healer']}@{entry['spec'].get('topology')}"
-    f"/{entry['spec'].get('adversary')}-s{entry['spec'].get('seed', 0)}",
-)
+def _golden_id(entry):
+    spec = entry["spec"]
+    return (
+        f"{spec['healer']}@{spec.get('topology')}"
+        f"/{spec.get('adversary')}-s{spec.get('seed', 0)}"
+    )
+
+
+@pytest.mark.parametrize("entry", _golden_entries(), ids=_golden_id)
 def test_summary_rows_match_pre_rewrite_reference(entry):
     spec = ScenarioSpec.from_dict(entry["spec"])
     result = run_experiment(spec.validate().compile())
     assert result.summary_row() == entry["summary"]
+
+
+@pytest.mark.parametrize("entry", _golden_entries(), ids=_golden_id)
+def test_artifact_replays_reproduce_reference(entry, tmp_path):
+    """Each golden run, saved and replayed from its artifact, reproduces its row."""
+    spec = ScenarioSpec.from_dict(entry["spec"]).validate()
+    record = RunRecord.from_result(spec, run_experiment(spec.compile()))
+    report = replay_artifact(save_run(record, tmp_path / "run.jsonl"))
+    assert report.identical, report.differences()
+    assert report.replayed_summary == entry["summary"]
 
 
 def test_incremental_tracker_matches_reference_scan():

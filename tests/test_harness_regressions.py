@@ -86,6 +86,10 @@ class TestTraceReplaySkipCounting:
         assert result.insertions == 1
         assert not result.final_graph.has_node(10)
         assert result.final_graph.has_node(11)
+        # A replay runs through run_experiment's loop: its trace lists only
+        # the applied events, with event_steps parallel to it.
+        assert result.trace == [trace[1]]
+        assert result.event_steps == [1]
 
     def test_artifact_replay_of_undegraded_run_is_byte_identical(self, tmp_path):
         spec = _deletion_heavy_spec(timesteps=15)
